@@ -11,21 +11,27 @@
 //! * writes per cache line (wear-distribution statistics, optional),
 //! * migration writes performed by the OS (Figure 7).
 //!
+//! The per-page and per-line write counts are dense per-extent counter
+//! tables, so recording a write is an indexed increment, and
+//! [`MemoryController::page_writes`], [`MemoryController::line_writes`] and
+//! [`MemoryController::take_page_writes`] report in ascending address order.
+//!
 //! # Counter shards
 //!
-//! The hot counters are *sharded*: every counter lives in one
+//! The per-kind and per-phase counters are *sharded*: they live in one
 //! `CounterShard`-shaped block per registered shard, and each device event
 //! is recorded into the currently active shard ([`ShardId::BASE`] unless a
-//! mutator context is executing). Shards exist so that multi-mutator
-//! workloads can account their traffic without contending on one global
-//! block; they never lose events because every aggregate accessor folds
-//! across all shards on read, and [`MemoryController::merge_shard`] compacts
-//! a shard into the base block at mutator drain points. The per-shard
-//! accessors double as per-mutator traffic attribution.
+//! mutator context is executing). Shards never lose events because every
+//! aggregate accessor folds across all shards on read, and
+//! [`MemoryController::merge_shard`] compacts a shard into the base block at
+//! mutator drain points. The per-shard accessors double as per-mutator
+//! traffic attribution. The page and line tables are only ever read folded,
+//! so they are shared by all shards.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::address::{PageId, CACHE_LINE_SIZE, PAGE_SIZE};
+use crate::side_table::SideTable;
 use crate::stats::PhaseWrites;
 use crate::system::{MemoryKind, Phase};
 
@@ -46,21 +52,19 @@ impl ShardId {
     }
 }
 
-/// One block of device counters. Every counter of the controller exists once
-/// per shard; aggregates fold across shards.
+/// One block of per-kind and per-phase device counters; aggregates fold
+/// across shards.
 #[derive(Clone, Debug, Default)]
 struct CounterShard {
     reads: [u64; 2],
     writes: [u64; 2],
     phase_writes: [PhaseWrites; 2],
     phase_reads: [PhaseWrites; 2],
-    page_writes: HashMap<u64, u64>,
-    line_writes: HashMap<u64, u64>,
     migration_writes: [u64; 2],
 }
 
 impl CounterShard {
-    fn absorb(&mut self, other: &mut CounterShard) {
+    fn absorb(&mut self, other: CounterShard) {
         for kind in 0..2 {
             self.reads[kind] += other.reads[kind];
             self.writes[kind] += other.writes[kind];
@@ -72,17 +76,6 @@ impl CounterShard {
                 self.phase_reads[kind].add(phase, n);
             }
         }
-        for (page, n) in other.page_writes.drain() {
-            *self.page_writes.entry(page).or_insert(0) += n;
-        }
-        for (line, n) in other.line_writes.drain() {
-            *self.line_writes.entry(line).or_insert(0) += n;
-        }
-        other.reads = [0; 2];
-        other.writes = [0; 2];
-        other.migration_writes = [0; 2];
-        other.phase_writes = [PhaseWrites::default(); 2];
-        other.phase_reads = [PhaseWrites::default(); 2];
     }
 }
 
@@ -92,6 +85,10 @@ pub struct MemoryController {
     shards: Vec<CounterShard>,
     active: usize,
     track_lines: bool,
+    /// Device writes per page.
+    page_writes: SideTable<u64>,
+    /// Device writes per cache line (only with `track_lines`).
+    line_writes: SideTable<u64>,
 }
 
 impl Default for MemoryController {
@@ -109,6 +106,8 @@ impl MemoryController {
             shards: vec![CounterShard::default()],
             active: 0,
             track_lines,
+            page_writes: SideTable::new(PAGE_SIZE.trailing_zeros()),
+            line_writes: SideTable::new(CACHE_LINE_SIZE.trailing_zeros()),
         }
     }
 
@@ -141,15 +140,14 @@ impl MemoryController {
 
     /// Folds `shard`'s counters into the base shard and clears it. Aggregate
     /// accessors are exact whether or not shards have been merged (they fold
-    /// on read); merging bounds per-shard map growth and is called from the
-    /// mutator drain path.
+    /// on read); merging resets the shard's attribution view and is called
+    /// from the mutator drain path.
     pub fn merge_shard(&mut self, shard: ShardId) {
         if shard.0 == 0 || shard.0 >= self.shards.len() {
             return;
         }
-        let mut detached = std::mem::take(&mut self.shards[shard.0]);
-        self.shards[0].absorb(&mut detached);
-        self.shards[shard.0] = detached;
+        let detached = std::mem::take(&mut self.shards[shard.0]);
+        self.shards[0].absorb(detached);
     }
 
     /// Records a device read of one cache line.
@@ -177,14 +175,13 @@ impl MemoryController {
         shard.writes[kind as usize] += 1;
         shard.phase_writes[kind as usize].add(phase, 1);
         let page = line * CACHE_LINE_SIZE as u64 / PAGE_SIZE as u64;
-        *shard.page_writes.entry(page).or_insert(0) += 1;
+        *self.page_writes.get_mut(page) += 1;
     }
 
     /// The wear half of [`Self::record_write`]: bumps `line`'s write count.
     /// Callers must gate on [`Self::tracks_lines`].
     pub fn record_line_wear(&mut self, line: u64) {
-        let shard = &mut self.shards[self.active];
-        *shard.line_writes.entry(line).or_insert(0) += 1;
+        *self.line_writes.get_mut(line) += 1;
     }
 
     /// `true` when per-cache-line write tracking is enabled.
@@ -263,50 +260,28 @@ impl MemoryController {
         self.shards.get(shard.0).map_or(0, |s| s.writes[kind as usize])
     }
 
-    /// Write count of a specific page (0 if never written), folded across
-    /// shards.
+    /// Write count of a specific page (0 if never written).
     pub fn page_write_count(&self, page: PageId) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.page_writes.get(&page.0).copied().unwrap_or(0))
-            .sum()
+        self.page_writes.get(page.0).copied().unwrap_or(0)
     }
 
-    /// Iterates over `(page, writes)` pairs for all written pages, folded
-    /// across shards.
+    /// Iterates over `(page, writes)` pairs for all written pages, in
+    /// ascending page order.
     pub fn page_writes(&self) -> impl Iterator<Item = (PageId, u64)> + '_ {
-        let mut merged: HashMap<u64, u64> = HashMap::new();
-        for shard in &self.shards {
-            for (&p, &w) in &shard.page_writes {
-                *merged.entry(p).or_insert(0) += w;
-            }
-        }
-        merged.into_iter().map(|(p, w)| (PageId(p), w))
+        nonzero(&self.page_writes).map(|(p, w)| (PageId(p), w))
     }
 
-    /// Iterates over `(cache line, writes)` pairs if line tracking is on,
-    /// folded across shards.
+    /// Iterates over `(cache line, writes)` pairs if line tracking is on, in
+    /// ascending line order.
     pub fn line_writes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let mut merged: HashMap<u64, u64> = HashMap::new();
-        for shard in &self.shards {
-            for (&l, &w) in &shard.line_writes {
-                *merged.entry(l).or_insert(0) += w;
-            }
-        }
-        merged.into_iter()
+        nonzero(&self.line_writes)
     }
 
-    /// Resets the per-page write counters across every shard (the WP
-    /// baseline consumes and clears them each OS quantum), returning the
-    /// folded counts.
-    pub fn take_page_writes(&mut self) -> HashMap<u64, u64> {
-        let mut merged: HashMap<u64, u64> = HashMap::new();
-        for shard in &mut self.shards {
-            for (p, w) in shard.page_writes.drain() {
-                *merged.entry(p).or_insert(0) += w;
-            }
-        }
-        merged
+    /// Resets the per-page write counters (the WP baseline consumes and
+    /// clears them each OS quantum), returning the counts keyed by page.
+    pub fn take_page_writes(&mut self) -> BTreeMap<u64, u64> {
+        let taken = std::mem::replace(&mut self.page_writes, SideTable::new(PAGE_SIZE.trailing_zeros()));
+        nonzero(&taken).collect()
     }
 
     /// Total bytes written to `kind` (cache-line granularity).
@@ -320,8 +295,15 @@ impl MemoryController {
     }
 }
 
+/// The written entries of a counter table, in ascending index order.
+fn nonzero(table: &SideTable<u64>) -> impl Iterator<Item = (u64, u64)> + '_ {
+    table.iter().filter(|&(_, &w)| w != 0).map(|(i, &w)| (i, w))
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     #[test]
@@ -422,6 +404,39 @@ mod tests {
         let taken = mc.take_page_writes();
         assert_eq!(taken.get(&0), Some(&2), "sharded page counts must not be lost");
         assert_eq!(mc.page_write_count(PageId(0)), 0);
+    }
+
+    #[test]
+    fn page_and_line_writes_come_back_in_address_order() {
+        let mut mc = MemoryController::new(true);
+        let shard = mc.register_shard();
+        let lines_per_page = (PAGE_SIZE / CACHE_LINE_SIZE) as u64;
+        // Pages in three 256 MB-aligned extents, written out of order and
+        // from two shards.
+        let lines = [
+            (3u64 << 30) / CACHE_LINE_SIZE as u64 + 5,
+            (1u64 << 30) / CACHE_LINE_SIZE as u64 + 9 * lines_per_page,
+            7,
+            (1u64 << 30) / CACHE_LINE_SIZE as u64 + 1,
+            7,
+        ];
+        for (i, &line) in lines.iter().enumerate() {
+            mc.set_active_shard(if i % 2 == 0 { ShardId::BASE } else { shard });
+            mc.record_write(MemoryKind::Pcm, Phase::Mutator, line);
+        }
+        let mut sorted_lines = lines.to_vec();
+        sorted_lines.sort_unstable();
+        sorted_lines.dedup();
+        let line_order: Vec<u64> = mc.line_writes().map(|(l, _)| l).collect();
+        assert_eq!(line_order, sorted_lines);
+        assert_eq!(mc.line_writes().find(|&(l, _)| l == 7), Some((7, 2)));
+        let mut sorted_pages: Vec<u64> = sorted_lines.iter().map(|l| l / lines_per_page).collect();
+        sorted_pages.dedup();
+        let page_order: Vec<u64> = mc.page_writes().map(|(p, _)| p.0).collect();
+        assert_eq!(page_order, sorted_pages);
+        let taken: Vec<u64> = mc.take_page_writes().into_keys().collect();
+        assert_eq!(taken, sorted_pages);
+        assert_eq!(mc.page_writes().count(), 0);
     }
 
     #[test]

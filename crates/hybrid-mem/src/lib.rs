@@ -21,6 +21,12 @@
 //!   model** `Y = S·E / (B·2^25)` ([`lifetime`]) and ideal line
 //!   **wear-leveling** statistics ([`wear`]).
 //!
+//! Per-page, per-chunk and per-line state is kept in dense per-extent side
+//! tables indexed by offset from the extent base (the approach of MMTk's side
+//! metadata), not in hash maps: the page map, the backing store's chunk
+//! index and the controller's page and line write counters are all indexed
+//! loads, and everything they report iterates in ascending address order.
+//!
 //! The central entry point is [`MemorySystem`]: heap code issues tagged reads
 //! and writes through it and later extracts a [`stats::MemoryStats`] snapshot.
 //!
@@ -51,6 +57,7 @@ pub mod energy;
 pub mod fault;
 pub mod lifetime;
 pub mod page_map;
+mod side_table;
 pub mod stats;
 pub mod system;
 pub mod timing;
@@ -68,3 +75,23 @@ pub use stats::{MemoryStats, PhaseWrites, ShardStats};
 pub use system::{AccessKind, MemoryConfig, MemoryKind, MemorySystem, Phase};
 pub use timing::{ExecutionModel, TimeBreakdown};
 pub use wear::{WearSummary, WearTracker};
+
+/// Seeded splitmix64 stream for the crate's randomized equivalence tests.
+#[cfg(test)]
+pub(crate) struct SplitMix64(pub u64);
+
+#[cfg(test)]
+impl SplitMix64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A draw from `0..bound`.
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
+        self.next_u64() % bound
+    }
+}

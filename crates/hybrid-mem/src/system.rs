@@ -160,6 +160,55 @@ impl Default for MemoryConfig {
     }
 }
 
+/// How the touch path observes its stages. [`NoProbe`] compiles to the bare
+/// simulation; the counting and timing probes feed the hot-path profiler.
+trait StageProbe {
+    /// Runs `work` as one event of `stage`.
+    fn stage<R>(&mut self, stage: Stage, work: impl FnOnce() -> R) -> R;
+}
+
+/// The unprofiled touch path.
+struct NoProbe;
+
+impl StageProbe for NoProbe {
+    #[inline(always)]
+    fn stage<R>(&mut self, _stage: Stage, work: impl FnOnce() -> R) -> R {
+        work()
+    }
+}
+
+/// Counts stage events (the profiler's unsampled touches).
+#[derive(Default)]
+struct CountingProbe(StageTotals);
+
+impl StageProbe for CountingProbe {
+    #[inline(always)]
+    fn stage<R>(&mut self, stage: Stage, work: impl FnOnce() -> R) -> R {
+        self.0.add(stage, 1);
+        work()
+    }
+}
+
+/// Counts and times stage events (the profiler's sampled touches).
+#[derive(Default)]
+struct TimingProbe(StageTotals);
+
+impl StageProbe for TimingProbe {
+    #[inline(always)]
+    fn stage<R>(&mut self, stage: Stage, work: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let result = work();
+        self.0.add_timed(stage, 1, start.elapsed().as_nanos() as u64);
+        result
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn unmapped(op: &str, addr: Address) -> ! {
+    panic!("{op} of unmapped address {addr}")
+}
+
 /// The simulated memory system.
 ///
 /// See the crate-level documentation for an example.
@@ -286,10 +335,7 @@ impl MemorySystem {
         let counts: Vec<u64> = self
             .controller
             .line_writes()
-            .filter(|&(line, _)| {
-                let addr = Address::new(line * crate::address::CACHE_LINE_SIZE as u64);
-                self.is_mapped(addr) && self.kind_of(addr) == kind
-            })
+            .filter(|&(line, _)| self.line_kind(line) == Some(kind))
             .map(|(_, writes)| writes)
             .collect();
         Some(crate::wear::WearTracker::from_counts(counts).summary())
@@ -304,23 +350,24 @@ impl MemorySystem {
         self.fault.as_ref()
     }
 
+    /// The memory kind of the page holding cache line `line`, if mapped.
+    fn line_kind(&self, line: u64) -> Option<MemoryKind> {
+        self.page_map
+            .info(Address::new(line * CACHE_LINE_SIZE as u64))
+            .map(|info| info.kind)
+    }
+
     /// Device write counts per *mapped PCM line* (256 B granularity), sorted
-    /// by line id. Aggregates the controller's per-cache-line counts; call at
-    /// a safepoint so shard folds are complete. Empty when line tracking is
-    /// off.
+    /// by line id. Aggregates the controller's per-cache-line counts, which
+    /// come in address order; empty when line tracking is off.
     pub fn pcm_line_writes(&self) -> Vec<(u64, u64)> {
-        let per_cache_line = CACHE_LINE_SIZE as u64;
         let cache_lines_per_line = (LINE_SIZE / CACHE_LINE_SIZE) as u64;
-        let mut lines: Vec<(u64, u64)> = Vec::new();
+        let mut folded: Vec<(u64, u64)> = Vec::new();
         for (cache_line, writes) in self.controller.line_writes() {
-            let addr = Address::new(cache_line * per_cache_line);
-            if self.is_mapped(addr) && self.kind_of(addr) == MemoryKind::Pcm {
-                lines.push((cache_line / cache_lines_per_line, writes));
+            if self.line_kind(cache_line) != Some(MemoryKind::Pcm) {
+                continue;
             }
-        }
-        lines.sort_unstable();
-        let mut folded: Vec<(u64, u64)> = Vec::with_capacity(lines.len());
-        for (line, writes) in lines {
+            let line = cache_line / cache_lines_per_line;
             match folded.last_mut() {
                 Some((last, total)) if *last == line => *total += writes,
                 _ => folded.push((line, writes)),
@@ -455,108 +502,125 @@ impl MemorySystem {
     }
 
     /// Accounts one tagged access of `len` bytes: cache simulation per
-    /// touched line, then device accounting per memory-side event. Returns
-    /// `true` when the hot-path profiler sampled (timed) this touch, so
-    /// the access wrappers know to time the subsequent backing-store work.
+    /// touched line, then device accounting per memory-side event. `page`
+    /// is the caller's lookup of `addr`'s page, when it made one. Returns
+    /// `true` when the hot-path profiler sampled (timed) this touch, so the
+    /// access wrappers know to time the subsequent backing-store work.
     ///
-    /// The three arms run the *same* simulation — the counting arm adds
-    /// per-stage event tallies (batched into one profiler call), the
-    /// sampled arm additionally brackets each stage with `Instant::now()`.
-    /// Only the `Off` arm is ever taken when the profiler is disabled, so
-    /// unprofiled runs pay exactly one branch.
-    fn touch(&mut self, addr: Address, len: usize, kind: AccessKind, phase: Phase) -> bool {
-        debug_assert!(len > 0);
-        let first = addr.cache_line();
-        let last = addr.add(len - 1).cache_line();
+    /// Every profiler mode runs the same [`Self::touch_with`] body; only the
+    /// probe differs, and with the profiler disabled it is the zero-sized
+    /// [`NoProbe`], so unprofiled runs pay exactly one branch.
+    fn touch(
+        &mut self,
+        addr: Address,
+        len: usize,
+        kind: AccessKind,
+        phase: Phase,
+        page: Option<PageInfo>,
+    ) -> bool {
         match self.profiler.begin_touch(phase as usize) {
             TouchMode::Off => {
-                for line in first..=last {
-                    self.event_buf.clear();
-                    self.cache
-                        .access(line, kind == AccessKind::Write, phase, &mut self.event_buf);
-                    for event in self.event_buf.drain(..) {
-                        let line_addr = Address::new(event.line * CACHE_LINE_SIZE as u64);
-                        // A flushed line may belong to a page that has since been
-                        // unmapped (space released); attribute it to PCM-free DRAM? No:
-                        // charge it to the kind it had when mapped, falling back to the
-                        // page map; unmapped pages are charged to DRAM-free... They are
-                        // simply skipped because the space no longer exists.
-                        let Some(info) = self.page_map.info(line_addr) else {
-                            continue;
-                        };
-                        if event.write {
-                            self.controller.record_write(info.kind, event.phase, event.line);
-                        } else {
-                            self.controller.record_read(info.kind, event.phase);
-                        }
-                    }
-                }
+                self.touch_with(&mut NoProbe, addr, len, kind, phase, page);
                 false
             }
             TouchMode::Counting => {
-                let mut totals = StageTotals::default();
-                for line in first..=last {
-                    self.event_buf.clear();
-                    self.cache
-                        .access(line, kind == AccessKind::Write, phase, &mut self.event_buf);
-                    totals.add(Stage::CacheModel, 1);
-                    for event in self.event_buf.drain(..) {
-                        let line_addr = Address::new(event.line * CACHE_LINE_SIZE as u64);
-                        totals.add(Stage::PageMap, 1);
-                        let Some(info) = self.page_map.info(line_addr) else {
-                            continue;
-                        };
-                        totals.add(Stage::LineBookkeeping, 1);
-                        if event.write {
-                            self.controller
-                                .record_write_counters(info.kind, event.phase, event.line);
-                            if self.controller.tracks_lines() {
-                                totals.add(Stage::WearTracking, 1);
-                                self.controller.record_line_wear(event.line);
-                            }
-                        } else {
-                            self.controller.record_read(info.kind, event.phase);
-                        }
-                    }
-                }
-                self.profiler.finish_touch(&totals, false);
+                let mut probe = CountingProbe::default();
+                self.touch_with(&mut probe, addr, len, kind, phase, page);
+                self.profiler.finish_touch(&probe.0, false);
                 false
             }
             TouchMode::Sampled => {
-                let mut totals = StageTotals::default();
-                for line in first..=last {
-                    self.event_buf.clear();
-                    let cache_start = Instant::now();
-                    self.cache
-                        .access(line, kind == AccessKind::Write, phase, &mut self.event_buf);
-                    totals.add_timed(Stage::CacheModel, 1, cache_start.elapsed().as_nanos() as u64);
-                    for event in self.event_buf.drain(..) {
-                        let line_addr = Address::new(event.line * CACHE_LINE_SIZE as u64);
-                        let map_start = Instant::now();
-                        let info = self.page_map.info(line_addr);
-                        totals.add_timed(Stage::PageMap, 1, map_start.elapsed().as_nanos() as u64);
-                        let Some(info) = info else {
-                            continue;
-                        };
-                        let book_start = Instant::now();
-                        if event.write {
-                            self.controller
-                                .record_write_counters(info.kind, event.phase, event.line);
-                        } else {
-                            self.controller.record_read(info.kind, event.phase);
-                        }
-                        totals.add_timed(Stage::LineBookkeeping, 1, book_start.elapsed().as_nanos() as u64);
-                        if event.write && self.controller.tracks_lines() {
-                            let wear_start = Instant::now();
-                            self.controller.record_line_wear(event.line);
-                            totals.add_timed(Stage::WearTracking, 1, wear_start.elapsed().as_nanos() as u64);
-                        }
-                    }
-                }
-                self.profiler.finish_touch(&totals, true);
+                let mut probe = TimingProbe::default();
+                self.touch_with(&mut probe, addr, len, kind, phase, page);
+                self.profiler.finish_touch(&probe.0, true);
                 true
             }
         }
+    }
+
+    /// The body of [`Self::touch`], monomorphised per probe.
+    #[inline(always)]
+    fn touch_with<P: StageProbe>(
+        &mut self,
+        probe: &mut P,
+        addr: Address,
+        len: usize,
+        kind: AccessKind,
+        phase: Phase,
+        page: Option<PageInfo>,
+    ) {
+        debug_assert!(len > 0);
+        let write = kind == AccessKind::Write;
+        // The last page resolved: events on it (the touched line's own miss
+        // fill, most write-backs) skip the table lookup.
+        let mut resolved = page.map(|info| (addr.page(), Some(info)));
+        for line in addr.cache_line()..=addr.add(len - 1).cache_line() {
+            self.event_buf.clear();
+            probe.stage(Stage::CacheModel, || {
+                self.cache.access(line, write, phase, &mut self.event_buf)
+            });
+            for i in 0..self.event_buf.len() {
+                let event = self.event_buf[i];
+                self.record_event(probe, event, &mut resolved);
+            }
+        }
+    }
+
+    /// Charges one memory-side event to the device backing its page.
+    /// `resolved` caches the last page looked up.
+    #[inline(always)]
+    fn record_event<P: StageProbe>(
+        &mut self,
+        probe: &mut P,
+        event: MemEvent,
+        resolved: &mut Option<(PageId, Option<PageInfo>)>,
+    ) {
+        let event_page = Address::new(event.line * CACHE_LINE_SIZE as u64).page();
+        let info = probe.stage(Stage::PageMap, || match *resolved {
+            Some((page, info)) if page == event_page => info,
+            _ => {
+                let info = self.page_map.info_of_page(event_page);
+                *resolved = Some((event_page, info));
+                info
+            }
+        });
+        // A flushed line may belong to a page that has since been unmapped
+        // (its space was released): it is not charged.
+        let Some(info) = info else {
+            return;
+        };
+        probe.stage(Stage::LineBookkeeping, || {
+            if event.write {
+                self.controller
+                    .record_write_counters(info.kind, event.phase, event.line);
+            } else {
+                self.controller.record_read(info.kind, event.phase);
+            }
+        });
+        if event.write && self.controller.tracks_lines() {
+            probe.stage(Stage::WearTracking, || {
+                self.controller.record_line_wear(event.line)
+            });
+        }
+    }
+
+    /// [`Self::touch`] for an access that must lie in mapped memory: the
+    /// page lookup of its first byte doubles as the check, and the page of
+    /// its last byte is checked too.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `op`, if either page is unmapped.
+    #[inline]
+    fn touch_mapped(&mut self, addr: Address, len: usize, kind: AccessKind, phase: Phase, op: &str) -> bool {
+        let Some(page) = self.page_map.info(addr) else {
+            unmapped(op, addr)
+        };
+        let last = addr.add(len - 1);
+        if last.page() != addr.page() && !self.page_map.is_mapped(last) {
+            unmapped(op, last)
+        }
+        self.touch(addr, len, kind, phase, Some(page))
     }
 
     /// Reads a `u64` at `addr` on behalf of `phase`.
@@ -565,8 +629,7 @@ impl MemorySystem {
     ///
     /// Panics if the page containing `addr` is not mapped.
     pub fn read_u64(&mut self, addr: Address, phase: Phase) -> u64 {
-        assert!(self.page_map.is_mapped(addr), "read of unmapped address {addr}");
-        let sampled = self.touch(addr, 8, AccessKind::Read, phase);
+        let sampled = self.touch_mapped(addr, 8, AccessKind::Read, phase, "read");
         self.run_backing(sampled, |backing| backing.read_u64(addr))
     }
 
@@ -576,8 +639,7 @@ impl MemorySystem {
     ///
     /// Panics if the page containing `addr` is not mapped.
     pub fn write_u64(&mut self, addr: Address, value: u64, phase: Phase) {
-        assert!(self.page_map.is_mapped(addr), "write of unmapped address {addr}");
-        let sampled = self.touch(addr, 8, AccessKind::Write, phase);
+        let sampled = self.touch_mapped(addr, 8, AccessKind::Write, phase, "write");
         self.run_backing(sampled, |backing| backing.write_u64(addr, value));
     }
 
@@ -614,42 +676,59 @@ impl MemorySystem {
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page of the first or last byte is not mapped.
     pub fn read_bytes(&mut self, addr: Address, buf: &mut [u8], phase: Phase) {
         if buf.is_empty() {
             return;
         }
-        let sampled = self.touch(addr, buf.len(), AccessKind::Read, phase);
+        let sampled = self.touch_mapped(addr, buf.len(), AccessKind::Read, phase, "read");
         self.run_backing(sampled, |backing| backing.read_bytes(addr, buf));
     }
 
     /// Writes `buf` starting at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page of the first or last byte is not mapped.
     pub fn write_bytes(&mut self, addr: Address, buf: &[u8], phase: Phase) {
         if buf.is_empty() {
             return;
         }
-        let sampled = self.touch(addr, buf.len(), AccessKind::Write, phase);
+        let sampled = self.touch_mapped(addr, buf.len(), AccessKind::Write, phase, "write");
         self.run_backing(sampled, |backing| backing.write_bytes(addr, buf));
     }
 
     /// Copies `len` bytes from `src` to `dst` on behalf of `phase`,
     /// accounting both the reads and the writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page of the first or last byte of either range is not
+    /// mapped.
     pub fn copy(&mut self, src: Address, dst: Address, len: usize, phase: Phase) {
         if len == 0 {
             return;
         }
-        let sampled_src = self.touch(src, len, AccessKind::Read, phase);
-        let sampled_dst = self.touch(dst, len, AccessKind::Write, phase);
+        let sampled_src = self.touch_mapped(src, len, AccessKind::Read, phase, "copy from");
+        let sampled_dst = self.touch_mapped(dst, len, AccessKind::Write, phase, "copy to");
         self.run_backing(sampled_src || sampled_dst, |backing| {
             backing.copy(src, dst, len);
         });
     }
 
     /// Zeroes `len` bytes starting at `addr` (nursery zeroing, block reset).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page of the first or last byte is not mapped.
     pub fn zero(&mut self, addr: Address, len: usize, phase: Phase) {
         if len == 0 {
             return;
         }
-        let sampled = self.touch(addr, len, AccessKind::Write, phase);
+        let sampled = self.touch_mapped(addr, len, AccessKind::Write, phase, "zero");
         self.run_backing(sampled, |backing| backing.fill(addr, len, 0));
     }
 
@@ -659,12 +738,12 @@ impl MemorySystem {
     /// treadmill pointers) whose values live in host data structures but
     /// whose memory traffic must still be accounted.
     pub fn account_write(&mut self, addr: Address, phase: Phase) {
-        self.touch(addr, 8, AccessKind::Write, phase);
+        self.touch(addr, 8, AccessKind::Write, phase, None);
     }
 
     /// Accounts a single conceptual load, analogous to [`Self::account_write`].
     pub fn account_read(&mut self, addr: Address, phase: Phase) {
-        self.touch(addr, 8, AccessKind::Read, phase);
+        self.touch(addr, 8, AccessKind::Read, phase, None);
     }
 
     /// Flushes all dirty cache lines to the device counters. Call once at the
@@ -672,16 +751,9 @@ impl MemorySystem {
     pub fn flush_caches(&mut self) {
         let mut events = Vec::new();
         self.cache.flush_all(&mut events);
+        let mut resolved = None;
         for event in events {
-            let line_addr = Address::new(event.line * CACHE_LINE_SIZE as u64);
-            let Some(info) = self.page_map.info(line_addr) else {
-                continue;
-            };
-            if event.write {
-                self.controller.record_write(info.kind, event.phase, event.line);
-            } else {
-                self.controller.record_read(info.kind, event.phase);
-            }
+            self.record_event(&mut NoProbe, event, &mut resolved);
         }
     }
 
@@ -763,6 +835,59 @@ mod tests {
         let mut mem = small_system();
         let base = mem.reserve_extent("x", 1 << 20);
         mem.write_u64(base, 1, Phase::Mutator);
+    }
+
+    #[test]
+    fn bulk_accesses_check_their_first_and_last_byte() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut mem = small_system();
+        let base = mem.reserve_extent("bulk", 1 << 20);
+        mem.map_pages(base, 2, MemoryKind::Dram, 0);
+        let mapped = base.add(PAGE_SIZE - 8);
+        let straddling = base.add(2 * PAGE_SIZE - 8);
+        let unmapped = base.add(32 * PAGE_SIZE);
+        let mut buf = [0u8; 16];
+        // In range: no panic.
+        mem.write_bytes(mapped, &buf, Phase::Mutator);
+        mem.copy(mapped, base, 16, Phase::Mutator);
+        type Access = Box<dyn Fn(&mut MemorySystem)>;
+        let cases: [(&str, Access); 6] = [
+            (
+                "read",
+                Box::new(move |m| m.read_bytes(straddling, &mut [0u8; 16], Phase::Mutator)),
+            ),
+            (
+                "write",
+                Box::new(move |m| m.write_bytes(unmapped, &[1u8; 4], Phase::Mutator)),
+            ),
+            (
+                "copy from",
+                Box::new(move |m| m.copy(straddling, base, 16, Phase::Mutator)),
+            ),
+            (
+                "copy to",
+                Box::new(move |m| m.copy(base, unmapped, 16, Phase::Mutator)),
+            ),
+            ("zero", Box::new(move |m| m.zero(straddling, 16, Phase::Mutator))),
+            (
+                "write",
+                Box::new(move |m| m.write_u64(unmapped, 1, Phase::Mutator)),
+            ),
+        ];
+        for (op, access) in cases {
+            let err = catch_unwind(AssertUnwindSafe(|| access(&mut mem))).expect_err(op);
+            let message = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                message.starts_with(&format!("{op} of unmapped address")),
+                "{message}"
+            );
+        }
+        assert_eq!(
+            mem.resident_bytes(),
+            crate::backing::CHUNK_SIZE,
+            "no chunk was created"
+        );
+        mem.read_bytes(mapped, &mut buf, Phase::Mutator);
     }
 
     #[test]
