@@ -222,8 +222,8 @@ pub fn hot_path_profile(
     let path = trace_path(dir, profile.name, &recording_config, config, 1);
     let current = trace::load_trace(&path)
         .ok()
-        .filter(crate::runner::trace_site_map_current)
-        .filter(|recorded| crate::runner::trace_fault_schedule_current(recorded, config));
+        .filter(|recorded| crate::runner::trace_site_map_current(&recorded.header))
+        .filter(|recorded| crate::runner::trace_fault_schedule_current(&recorded.header, config));
     let recorded = match current {
         Some(recorded) => recorded,
         None => {

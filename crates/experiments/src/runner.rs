@@ -450,23 +450,25 @@ pub fn trace_path(
 /// (KG-A/KG-D) and the profiling pipeline, so — mirroring the `.kgprof`
 /// drift policy — consumers log the drift and re-record instead of
 /// replaying it. Unhashed traces (hash 0, e.g. hand-built) are trusted.
-pub fn trace_site_map_current(recorded: &trace::Trace) -> bool {
-    recorded.header.site_map_hash == 0 || recorded.header.site_map_hash == workloads::site_map_hash()
+pub fn trace_site_map_current(recorded: &trace::TraceHeader) -> bool {
+    recorded.site_map_hash == 0 || recorded.site_map_hash == workloads::site_map_hash()
 }
 
 /// Returns `true` when `recorded` was taken under the fault schedule the
 /// current configuration installs (seed 0 = fault-free, which is also what
 /// v1 traces report). A mismatched trace would replay a different device
 /// failure history, so consumers re-record instead of replaying it.
-pub fn trace_fault_schedule_current(recorded: &trace::Trace, config: &ExperimentConfig) -> bool {
-    recorded.header.fault_seed == config.fault.map(|fault| fault.seed).unwrap_or(0)
+pub fn trace_fault_schedule_current(recorded: &trace::TraceHeader, config: &ExperimentConfig) -> bool {
+    recorded.fault_seed == config.fault.map(|fault| fault.seed).unwrap_or(0)
 }
 
 /// Drives `heap` through `profile`'s workload. Live when
-/// [`ExperimentConfig::trace_dir`] is unset; otherwise replays the recorded
-/// trace, recording it first (passively, so the recording run doubles as
-/// this collector's result) when none exists or the existing file is
-/// unreadable or stale.
+/// [`ExperimentConfig::trace_dir`] is unset; otherwise streams the recorded
+/// trace into the heap, recording it first (passively, so the recording run
+/// doubles as this collector's result) when none exists or the existing
+/// file is unreadable or stale. A file that passes its checksum but fails
+/// to decode mid-stream panics naming the file, so the cell fails instead
+/// of reporting a partial replay.
 pub(crate) fn drive_workload(
     profile: &BenchmarkProfile,
     heap: &mut KingsguardHeap,
@@ -481,28 +483,11 @@ pub(crate) fn drive_workload(
     };
     // The figure/table drivers run the legacy single-mutator stream.
     let path = trace_path(dir, profile.name, heap_config, config, 1);
-    match trace::load_trace(&path).map_err(Some).and_then(|recorded| {
-        if !trace_site_map_current(&recorded) {
-            eprintln!(
-                "warning: {}: site map drifted since recording; re-recording",
-                path.display()
-            );
-            Err(None)
-        } else if !trace_fault_schedule_current(&recorded, config) {
-            eprintln!(
-                "warning: {}: fault schedule changed since recording \
-                 (recorded seed {:#x}); re-recording",
-                path.display(),
-                recorded.header.fault_seed
-            );
-            Err(None)
-        } else {
-            Ok(recorded)
-        }
-    }) {
-        Ok(recorded) => {
+    let bytes = std::fs::read(&path).ok();
+    match checked_replayer(bytes.as_deref(), config) {
+        Ok(replayer) => {
             let started = std::time::Instant::now();
-            let stats = TraceReplayer::new(&recorded)
+            let stats = replayer
                 .replay_with(heap, |heap, progress| {
                     hook(
                         heap,
@@ -514,16 +499,11 @@ pub(crate) fn drive_workload(
                     )
                 })
                 .unwrap_or_else(|err| panic!("replaying {} failed: {err}", path.display()));
-            record_replay_telemetry(heap, &recorded, stats, started.elapsed());
+            record_replay_telemetry(heap, stats, started.elapsed());
         }
-        Err(err) => {
-            // Missing file is the normal first-use path; a damaged trace is
-            // worth mentioning before it is re-recorded (stale ones were
-            // already reported above, arriving here as `None`).
-            if let Some(err) = err {
-                if !matches!(err, trace::TraceError::Io(_)) {
-                    eprintln!("warning: {}: {err}; re-recording", path.display());
-                }
+        Err(why) => {
+            if let Some(why) = why {
+                eprintln!("warning: {}: {why}; re-recording", path.display());
             }
             let recorded = mutator.record_with(heap, hook);
             if let Err(err) = trace::save_trace(&recorded, &path) {
@@ -533,6 +513,29 @@ pub(crate) fn drive_workload(
     }
 }
 
+/// Checks a recorded trace's `bytes` (`None`: no readable file) before any
+/// event is replayed. `Err(None)` means there is nothing to replay, the
+/// normal first-use path; `Err(Some(why))` means the file is damaged
+/// (truncated, bit-flipped, bad header) or stale, which is worth a warning
+/// before it is re-recorded.
+fn checked_replayer<'b>(
+    bytes: Option<&'b [u8]>,
+    config: &ExperimentConfig,
+) -> Result<TraceReplayer<'b>, Option<String>> {
+    let replayer = TraceReplayer::from_bytes(bytes.ok_or(None)?).map_err(|err| Some(err.to_string()))?;
+    let header = replayer.header();
+    if !trace_site_map_current(header) {
+        return Err(Some("site map drifted since recording".to_string()));
+    }
+    if !trace_fault_schedule_current(header, config) {
+        return Err(Some(format!(
+            "fault schedule changed since recording (recorded seed {:#x})",
+            header.fault_seed
+        )));
+    }
+    Ok(replayer)
+}
+
 /// Records replay-progress metrics after a trace-backed run: how much of
 /// the stream was applied, its throughput, and the divergence of the
 /// replayed heap from the recorded schedule (collections the heap ran on
@@ -540,20 +543,9 @@ pub(crate) fn drive_workload(
 /// divergence means the replay hit every recorded safepoint position).
 fn record_replay_telemetry(
     heap: &mut KingsguardHeap,
-    recorded: &trace::Trace,
     stats: trace::ReplayStats,
     elapsed: std::time::Duration,
 ) {
-    let recorded_collects = recorded
-        .events
-        .iter()
-        .filter(|event| matches!(event, trace::TraceEvent::Collect { .. }))
-        .count() as u64;
-    let recorded_safepoints = recorded
-        .events
-        .iter()
-        .filter(|event| matches!(event, trace::TraceEvent::Safepoint))
-        .count() as u64;
     let observed_collections = {
         let gc = heap.stats();
         gc.nursery.collections + gc.observer.collections + gc.major.collections
@@ -565,11 +557,11 @@ fn record_replay_telemetry(
     telemetry.counter_set("replay.events", stats.events);
     telemetry.counter_set("replay.allocations", stats.allocations);
     telemetry.counter_set("replay.hooks", stats.hooks);
-    telemetry.counter_set("replay.recorded_collects", recorded_collects);
-    telemetry.counter_set("replay.recorded_safepoints", recorded_safepoints);
+    telemetry.counter_set("replay.recorded_collects", stats.collects);
+    telemetry.counter_set("replay.recorded_safepoints", stats.safepoints);
     telemetry.counter_set(
         "replay.unscheduled_collections",
-        observed_collections.saturating_sub(recorded_collects),
+        observed_collections.saturating_sub(stats.collects),
     );
     let elapsed_s = elapsed.as_secs_f64();
     if elapsed_s > 0.0 {
@@ -843,7 +835,7 @@ mod tests {
             },
             events: Vec::new(),
         };
-        assert!(!trace_site_map_current(&stale));
+        assert!(!trace_site_map_current(&stale.header));
         trace::save_trace(&stale, &path).unwrap();
         let result = run_benchmark(&profile, HeapConfig::kg_n(), &config);
         assert_eq!(
@@ -853,7 +845,7 @@ mod tests {
         );
         // The re-recorded trace replaced the stale one and replays cleanly.
         let refreshed = trace::load_trace(&path).unwrap();
-        assert!(trace_site_map_current(&refreshed));
+        assert!(trace_site_map_current(&refreshed.header));
         assert!(refreshed.allocations() > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -890,7 +882,7 @@ mod tests {
         let path = trace_path(&dir, profile.name, &heap_config, &traced_config, 1);
         let trace = trace::load_trace(&path).unwrap();
         assert_eq!(trace.header.fault_seed, 0xFA11);
-        assert!(trace_fault_schedule_current(&trace, &traced_config));
+        assert!(trace_fault_schedule_current(&trace.header, &traced_config));
         let fault_free = ExperimentConfig::quick().with_trace_dir(&dir);
         assert_ne!(
             path,
@@ -899,11 +891,176 @@ mod tests {
         );
         // A configuration under a *different* schedule treats the trace as
         // stale and re-records rather than replaying the wrong failures.
-        assert!(!trace_fault_schedule_current(&trace, &fault_free));
+        assert!(!trace_fault_schedule_current(&trace.header, &fault_free));
         let other_seed = live_config
             .clone()
             .with_faults(FaultConfig::accelerated(0xBEEF, hybrid_mem::Endurance::Low10M));
-        assert!(!trace_fault_schedule_current(&trace, &other_seed));
+        assert!(!trace_fault_schedule_current(&trace.header, &other_seed));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every simulated result of a run: the collector statistics (maps in
+    /// key order) and the memory statistics.
+    fn report_digest(report: &kingsguard::RunReport) -> String {
+        fn sorted<K: Ord + fmt::Debug, V: fmt::Debug>(map: impl IntoIterator<Item = (K, V)>) -> String {
+            format!(
+                "{:?}",
+                map.into_iter().collect::<std::collections::BTreeMap<K, V>>()
+            )
+        }
+        let mut gc = report.gc.clone();
+        let maps = [
+            sorted(std::mem::take(&mut gc.mature_object_writes)),
+            sorted(std::mem::take(&mut gc.object_sites)),
+            sorted(std::mem::take(&mut gc.site_rescues)),
+            sorted(std::mem::take(&mut gc.site_demotions)),
+        ];
+        format!("{gc:?} {} {:?}", maps.join(" "), report.memory)
+    }
+
+    /// Appends the FNV-1a checksum a `.kgtrace` file ends with to its
+    /// (edited) content.
+    fn restamp(mut content: Vec<u8>) -> Vec<u8> {
+        let checksum = content.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        content.extend_from_slice(&checksum.to_le_bytes());
+        content
+    }
+
+    /// Records `profile`'s trace for `heap_config` into `config`'s trace
+    /// directory (if it is not there yet) and returns its path and bytes.
+    fn recorded(
+        profile: &BenchmarkProfile,
+        heap_config: &HeapConfig,
+        config: &ExperimentConfig,
+    ) -> (PathBuf, Vec<u8>) {
+        let sized = heap_config_for(profile, heap_config.clone(), config);
+        let dir = config.trace_dir.as_ref().expect("a traced configuration");
+        let path = trace_path(dir, profile.name, &sized, config, 1);
+        if !path.exists() {
+            run_benchmark(profile, heap_config.clone(), config);
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
+    #[test]
+    fn streamed_replays_equal_decoded_replays_under_every_collector() {
+        let dir = std::env::temp_dir().join(format!("kgtrace-streamed-{}", std::process::id()));
+        let config = ExperimentConfig::quick().with_trace_dir(&dir);
+        let profile = benchmark("lusearch").unwrap();
+        for label in crate::traces::REPLAY_COLLECTORS {
+            let collector = crate::traces::config_for(label);
+            let (_, bytes) = recorded(&profile, &collector, &config);
+            let heap_config = heap_config_for(&profile, collector, &config);
+            // The runner's path streams the file; the reference replays
+            // the fully decoded event list.
+            let mut streamed = KingsguardHeap::new(heap_config.clone(), config.memory_config());
+            drive_workload(&profile, &mut streamed, &heap_config, &config, |_, _| {});
+            let decoded = trace::parse_trace(&bytes).unwrap();
+            let mut held = KingsguardHeap::new(heap_config, config.memory_config());
+            TraceReplayer::new(&decoded).replay(&mut held).unwrap();
+            assert_eq!(
+                report_digest(&streamed.finish()),
+                report_digest(&held.finish()),
+                "{label}"
+            );
+        }
+        // The replay counts the recorded collections and safepoints as it
+        // applies them; the counters equal a scan of the event list (both
+        // are zero for this single-mutator stream; the trace crate's tests
+        // cover nonzero counts).
+        let (_, bytes) = recorded(&profile, &HeapConfig::kg_n(), &config);
+        let events = trace::parse_trace(&bytes).unwrap().events;
+        let count =
+            |wanted: fn(&trace::TraceEvent) -> bool| events.iter().filter(|e| wanted(e)).count() as u64;
+        let collects = count(|e| matches!(e, trace::TraceEvent::Collect { .. }));
+        let safepoints = count(|e| matches!(e, trace::TraceEvent::Safepoint));
+        let result = run_benchmark(&profile, HeapConfig::kg_n(), &config);
+        let telemetry = result.telemetry.as_ref().unwrap();
+        assert_eq!(telemetry.counter("replay.recorded_collects"), Some(collects));
+        assert_eq!(telemetry.counter("replay.recorded_safepoints"), Some(safepoints));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn undecodable_traces_fail_the_cell_naming_the_file() {
+        let dir = std::env::temp_dir().join(format!("kgtrace-undecodable-{}", std::process::id()));
+        let config = ExperimentConfig::quick().with_trace_dir(&dir);
+        let profile = benchmark("lusearch").unwrap();
+        let (path, bytes) = recorded(&profile, &HeapConfig::kg_n(), &config);
+        let decoded = trace::parse_trace(&bytes).unwrap();
+        let content = &bytes[..bytes.len() - 8];
+        // A checksum-valid file with an unknown opcode halfway through the
+        // events: the first half encodes to the same bytes, up to the count.
+        let half = trace::Trace {
+            header: decoded.header.clone(),
+            events: decoded.events[..decoded.events.len() / 2].to_vec(),
+        };
+        let at = trace::trace_to_bytes(&half).len() - 8;
+        let mut unknown_opcode = content.to_vec();
+        unknown_opcode.insert(at, 0xEE);
+        // A checksum-valid file declaring one event more than it holds.
+        let count_at = 8 + 4 + 4 + decoded.header.workload.len() + 48;
+        let mut wrong_count = content.to_vec();
+        let declared = decoded.events.len() as u64 + 1;
+        wrong_count[count_at..count_at + 8].copy_from_slice(&declared.to_le_bytes());
+        for (bad, expected) in [
+            (restamp(unknown_opcode), "unknown opcode 238"),
+            (restamp(wrong_count), "declares"),
+        ] {
+            std::fs::write(&path, &bad).unwrap();
+            let (results, failures) = run_jobs_reporting(&[HeapConfig::kg_n()], 1, |heap_config| {
+                run_benchmark(&profile, heap_config.clone(), &config)
+            });
+            assert!(
+                results[0].is_none(),
+                "{expected}: a partial replay produced a result"
+            );
+            let message = &failures[0].message;
+            assert!(message.contains(&path.display().to_string()), "{message}");
+            assert!(message.contains(expected), "{message}");
+            // The file is left as it was, not re-recorded over.
+            assert_eq!(std::fs::read(&path).unwrap(), bad);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn missing_traces_record_silently_and_damaged_ones_warn_before_replaying() {
+        let dir = std::env::temp_dir().join(format!("kgtrace-damaged-{}", std::process::id()));
+        let config = ExperimentConfig::quick().with_trace_dir(&dir);
+        let profile = benchmark("lusearch").unwrap();
+        assert!(
+            matches!(checked_replayer(None, &config), Err(None)),
+            "no file: no warning"
+        );
+        let (path, bytes) = recorded(&profile, &HeapConfig::kg_n(), &config);
+        assert!(checked_replayer(Some(&bytes), &config).is_ok());
+        let live = run_benchmark(&profile, HeapConfig::kg_n(), &ExperimentConfig::quick());
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 3] ^= 0x10;
+        for damaged in [bytes[..bytes.len() / 2].to_vec(), flipped] {
+            let why = checked_replayer(Some(&damaged), &config)
+                .err()
+                .flatten()
+                .expect("a damaged file is warned about");
+            assert!(why.contains("checksum") || why.contains("truncated"), "{why}");
+            // Rejected before any event is applied: the heap re-records
+            // from fresh, matching the live run, and the file is whole again.
+            std::fs::write(&path, &damaged).unwrap();
+            let rerun = run_benchmark(&profile, HeapConfig::kg_n(), &config);
+            assert_eq!(
+                (
+                    rerun.pcm_writes(),
+                    rerun.dram_writes(),
+                    rerun.gc.remset_insertions
+                ),
+                (live.pcm_writes(), live.dram_writes(), live.gc.remset_insertions)
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

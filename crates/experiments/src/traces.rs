@@ -22,7 +22,7 @@ use advice::AdviceTable;
 use hybrid_mem::wear::WearSummary;
 use hybrid_mem::{MemoryConfig, MemoryKind, MemorySystem};
 use kingsguard::{HeapConfig, KingsguardHeap};
-use trace::{Trace, TraceError, TraceReplayer};
+use trace::{TraceError, TraceReplayer};
 use workloads::{simulated_benchmarks, BenchmarkProfile, SyntheticMutator};
 
 use crate::report::TextTable;
@@ -316,8 +316,8 @@ pub fn replay_traces_filtered(
             let path = trace_path(dir, profile.name, &heap_config, config, mutators);
             let current = trace::load_trace(&path)
                 .ok()
-                .filter(crate::runner::trace_site_map_current)
-                .filter(|recorded| crate::runner::trace_fault_schedule_current(recorded, config));
+                .filter(|recorded| crate::runner::trace_site_map_current(&recorded.header))
+                .filter(|recorded| crate::runner::trace_fault_schedule_current(&recorded.header, config));
             let recorded = match current {
                 Some(recorded) => recorded,
                 None => {
@@ -463,7 +463,12 @@ fn pcm_wear_summary(mem: &MemorySystem) -> WearSummary {
         .expect("diff replays run with track_line_writes enabled")
 }
 
-fn replay_side(trace: &Trace, collector: &str, config: &ExperimentConfig, path: &Path) -> DiffSide {
+fn replay_side(
+    replayer: &TraceReplayer<'_>,
+    collector: &str,
+    config: &ExperimentConfig,
+    path: &Path,
+) -> DiffSide {
     // Per-line wear needs line tracking; base the memory system on the
     // experiment's mode with tracking forced on.
     let memory_config = MemoryConfig {
@@ -472,20 +477,21 @@ fn replay_side(trace: &Trace, collector: &str, config: &ExperimentConfig, path: 
     };
     // Size the heap budget like the recording runs: from the trace header's
     // workload, if it is a known benchmark; otherwise a generous default.
-    let budget = workloads::benchmark(&trace.header.workload)
+    let workload = replayer.header().workload.clone();
+    let budget = workloads::benchmark(&workload)
         .map(|p| p.scaled_heap_bytes(config.scale).max(2 << 20) as usize)
         .unwrap_or(8 << 20);
     let heap_config = config_for(collector).with_heap_budget(budget);
     let mut heap = KingsguardHeap::new(heap_config, memory_config);
-    TraceReplayer::new(trace)
+    let stats = replayer
         .replay(&mut heap)
         .unwrap_or_else(|err| panic!("replaying {} failed: {err}", path.display()));
     let pcm_wear = heap.with_synced_memory(|mem| pcm_wear_summary(mem));
     let report = heap.finish();
     DiffSide {
         path: path.to_path_buf(),
-        workload: trace.header.workload.clone(),
-        events: trace.events.len() as u64,
+        workload,
+        events: stats.events,
         pcm_writes: report.memory.writes(MemoryKind::Pcm),
         dram_writes: report.memory.writes(MemoryKind::Dram),
         pcm_wear,
@@ -500,12 +506,16 @@ pub fn diff_traces(
     path_b: &Path,
     collector: &str,
 ) -> Result<DiffResults, TraceError> {
-    let trace_a = trace::load_trace(path_a)?;
-    let trace_b = trace::load_trace(path_b)?;
+    // Both files are checked before either is replayed.
+    let (bytes_a, bytes_b) = (std::fs::read(path_a)?, std::fs::read(path_b)?);
+    let (a, b) = (
+        TraceReplayer::from_bytes(&bytes_a)?,
+        TraceReplayer::from_bytes(&bytes_b)?,
+    );
     Ok(DiffResults {
         collector: collector.to_string(),
-        a: replay_side(&trace_a, collector, config, path_a),
-        b: replay_side(&trace_b, collector, config, path_b),
+        a: replay_side(&a, collector, config, path_a),
+        b: replay_side(&b, collector, config, path_b),
     })
 }
 

@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use hybrid_mem::{Address, MemoryKind, MemorySystem, Phase, PAGE_SIZE};
+use hybrid_mem::{Address, FixedState, MemoryKind, MemorySystem, Phase, PAGE_SIZE};
 
 use crate::object::{ObjectRef, ObjectShape};
 use crate::space::{SpaceId, SpaceUsage};
@@ -48,7 +48,7 @@ pub struct LargeObjectSpace {
     /// Pages fenced by PCM retirement: excluded from every future run so a
     /// retired page is never handed out (and remapped) again.
     retired_pages: BTreeSet<u64>,
-    objects: HashMap<u64, LargeInfo>,
+    objects: HashMap<u64, LargeInfo, FixedState>,
     bytes_allocated_total: u64,
     treadmill_snaps: u64,
 }
@@ -64,7 +64,7 @@ impl LargeObjectSpace {
             cursor: base,
             free_runs: Vec::new(),
             retired_pages: BTreeSet::new(),
-            objects: HashMap::new(),
+            objects: HashMap::default(),
             bytes_allocated_total: 0,
             treadmill_snaps: 0,
         }

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use hybrid_mem::{Address, MemoryKind, MemorySystem, Phase, PAGE_SIZE};
+use hybrid_mem::{Address, FixedState, MemoryKind, MemorySystem, Phase, PAGE_SIZE};
 
 use crate::bump::BumpAllocator;
 use crate::object::ObjectRef;
@@ -36,7 +36,7 @@ pub const MARK_TABLE_BYTES: usize = MARK_TABLE_REGION / MARK_TABLE_GRANULE;
 pub struct MetadataSpace {
     kind: MemoryKind,
     bump: BumpAllocator,
-    mark_tables: HashMap<u64, Address>,
+    mark_tables: HashMap<u64, Address, FixedState>,
     remset_buffer: Option<Address>,
     remset_cursor: usize,
     table_bytes: u64,
@@ -49,7 +49,7 @@ impl MetadataSpace {
         MetadataSpace {
             kind,
             bump: BumpAllocator::new(base, capacity),
-            mark_tables: HashMap::new(),
+            mark_tables: HashMap::default(),
             remset_buffer: None,
             remset_cursor: 0,
             table_bytes: 0,

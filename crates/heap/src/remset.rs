@@ -8,13 +8,13 @@
 
 use std::collections::HashSet;
 
-use hybrid_mem::Address;
+use hybrid_mem::{Address, FixedState};
 
 /// A deduplicated set of slot addresses (object fields holding interesting
 /// pointers).
 #[derive(Debug, Default, Clone)]
 pub struct RememberedSet {
-    slots: HashSet<u64>,
+    slots: HashSet<u64, FixedState>,
     inserts: u64,
 }
 

@@ -12,9 +12,12 @@
 //!
 //! Each level is two flat arrays, a tag array (a probe is one compare per
 //! way) and the ways' replacement state; the set index is a mask when the
-//! set count is a power of two.
+//! set count is a power of two. A probe that misses also picks the way the
+//! line will be installed into, so a miss scans each level's set once.
+//! Levels hold at most 64 ways.
 
 use crate::address::CACHE_LINE_SIZE;
+use crate::fixed_hash::FixedState;
 use crate::system::Phase;
 
 /// Configuration of one cache level.
@@ -22,7 +25,7 @@ use crate::system::Phase;
 pub struct CacheLevelConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
-    /// Associativity (ways per set).
+    /// Associativity (ways per set), 1 to 64.
     pub ways: usize,
 }
 
@@ -122,6 +125,10 @@ struct CacheLevel {
     tick: u64,
     hits: u64,
     misses: u64,
+    /// The install way the last missing probe picked. Taken by the fill
+    /// that follows the probe; cleared when a spill touches the level in
+    /// between, since the spill may have changed that set.
+    victim: Option<usize>,
 }
 
 /// A line leaving a level (an LRU victim or an extracted line).
@@ -133,6 +140,11 @@ struct Victim {
 
 impl CacheLevel {
     fn new(config: CacheLevelConfig) -> Self {
+        assert!(
+            (1..=64).contains(&config.ways),
+            "a cache level has 1 to 64 ways, not {}",
+            config.ways
+        );
         let sets = config.sets();
         let entries = sets * config.ways;
         CacheLevel {
@@ -144,6 +156,7 @@ impl CacheLevel {
             tick: 0,
             hits: 0,
             misses: 0,
+            victim: None,
         }
     }
 
@@ -157,21 +170,31 @@ impl CacheLevel {
         set as usize * self.ways
     }
 
-    /// Probes for `line`; on a hit updates LRU/dirty state and returns the
-    /// way's index.
+    /// Finds `line` in its set: `Ok(way)` where it is held, else
+    /// `Err(way)` with the way an install would take (the first invalid
+    /// way, else the least recently used one).
     #[inline]
-    fn probe(&mut self, line: u64, write: bool, phase: Phase) -> Option<usize> {
+    fn lookup(&self, line: u64) -> Result<usize, usize> {
         let start = self.set_start(line);
-        let tag = line + 1;
-        // A set holds a tag at most once: scan every way without an early
-        // exit, which compiles to compares and conditional moves.
-        let mut found = None;
-        for (way, &t) in self.tags[start..start + self.ways].iter().enumerate() {
-            found = if t == tag { Some(start + way) } else { found };
-        }
+        let (tags, state) = (&self.tags[start..], &self.state[start..]);
+        // The common associativities get scans of a known length, which
+        // the compiler unrolls.
+        let found = match self.ways {
+            8 => scan_set(&tags[..8], &state[..8], line + 1),
+            16 => scan_set(&tags[..16], &state[..16], line + 1),
+            ways => scan_set(&tags[..ways], &state[..ways], line + 1),
+        };
+        found.map(|way| start + way).map_err(|way| start + way)
+    }
+
+    /// Probes for `line`: on a hit updates LRU/dirty state and returns
+    /// `Ok(way)`, on a miss returns `Err(way)` with the install way.
+    #[inline]
+    fn probe(&mut self, line: u64, write: bool, phase: Phase) -> Result<usize, usize> {
+        let found = self.lookup(line);
         match found {
-            Some(index) => self.hit(index, write, phase),
-            None => {
+            Ok(index) => self.hit(index, write, phase),
+            Err(_) => {
                 self.tick += 1;
                 self.misses += 1;
             }
@@ -192,21 +215,11 @@ impl CacheLevel {
         self.hits += 1;
     }
 
-    /// Installs `line` into the first invalid way of its set, or else over
-    /// the least recently used one. Returns the way's index and the evicted
-    /// valid line.
+    /// Installs `line` into the way at `index` (an install way from
+    /// [`Self::lookup`]), returning the evicted valid line.
     #[inline]
-    fn install(&mut self, line: u64, dirty: bool, last_writer: Phase) -> (usize, Option<Victim>) {
+    fn install(&mut self, index: usize, line: u64, dirty: bool, last_writer: Phase) -> Option<Victim> {
         self.tick += 1;
-        let start = self.set_start(line);
-        // Branch-free argmin (first minimum wins), so the unpredictable
-        // comparison compiles to conditional moves.
-        let (mut index, mut oldest) = (start, u64::MAX);
-        for (way, entry) in self.state[start..start + self.ways].iter().enumerate() {
-            let older = entry.lru < oldest;
-            index = if older { start + way } else { index };
-            oldest = if older { entry.lru } else { oldest };
-        }
         let old_tag = std::mem::replace(&mut self.tags[index], line + 1);
         let old = std::mem::replace(
             &mut self.state[index],
@@ -216,12 +229,11 @@ impl CacheLevel {
                 last_writer,
             },
         );
-        let victim = (old_tag != INVALID_TAG).then(|| Victim {
+        (old_tag != INVALID_TAG).then(|| Victim {
             line: old_tag - 1,
             dirty: old.dirty,
             last_writer: old.last_writer,
-        });
-        (index, victim)
+        })
     }
 
     /// Invalidates the way at `index` (from [`Self::probe`]), returning its
@@ -248,6 +260,29 @@ impl CacheLevel {
         }
         out
     }
+}
+
+/// Scans one set for `tag`: `Ok(way)` where it is held, else `Err(way)`
+/// with the first invalid way, else the least recently used one. Both
+/// loops are branch-free, and a set has at most 64 ways, so the tag
+/// matches fit one mask.
+#[inline(always)]
+fn scan_set(tags: &[u64], state: &[Way], tag: u64) -> Result<usize, usize> {
+    let mut matches = 0u64;
+    for (way, &t) in tags.iter().enumerate() {
+        matches |= u64::from(t == tag) << way;
+    }
+    if matches != 0 {
+        return Ok(matches.trailing_zeros() as usize);
+    }
+    // First minimum wins; invalid ways have lru 0.
+    let (mut victim, mut oldest) = (0, u64::MAX);
+    for (way, entry) in state.iter().enumerate() {
+        let older = entry.lru < oldest;
+        victim = if older { way } else { victim };
+        oldest = if older { entry.lru } else { oldest };
+    }
+    Err(victim)
 }
 
 /// A multi-level write-back cache hierarchy.
@@ -303,6 +338,7 @@ impl CacheHierarchy {
     }
 
     /// Ensures per-shard tallies exist for shard indices `0..=shard`.
+    #[inline]
     pub fn ensure_shard(&mut self, shard: usize) {
         if shard >= self.shard_hits.len() {
             self.shard_hits.resize(shard + 1, 0);
@@ -311,6 +347,7 @@ impl CacheHierarchy {
     }
 
     /// Selects the shard whose hit/miss tallies subsequent accesses update.
+    #[inline]
     pub fn set_active_shard(&mut self, shard: usize) {
         self.ensure_shard(shard);
         self.active_shard = shard;
@@ -345,9 +382,12 @@ impl CacheHierarchy {
         // Probe levels closest-first.
         let mut hit_level = None;
         for (i, level) in self.levels.iter_mut().enumerate() {
-            if let Some(way) = level.probe(line, write && i == 0, phase) {
-                hit_level = Some((i, way));
-                break;
+            match level.probe(line, write && i == 0, phase) {
+                Ok(way) => {
+                    hit_level = Some((i, way));
+                    break;
+                }
+                Err(victim) => level.victim = Some(victim),
             }
         }
         if hit_level.is_some() {
@@ -379,8 +419,8 @@ impl CacheHierarchy {
         self.l1_last = Some((line, l1_way));
     }
 
-    /// Installs `line` into levels `[0, to)`, pushing victims downwards, and
-    /// returns its way in L1.
+    /// Installs `line` into levels `[0, to)`, which its probe just missed,
+    /// pushing victims downwards, and returns its way in L1.
     fn fill(
         &mut self,
         to: usize,
@@ -391,7 +431,15 @@ impl CacheHierarchy {
     ) -> usize {
         let mut l1_way = 0;
         for level_idx in 0..to {
-            let (way, victim) = self.levels[level_idx].install(line, dirty && level_idx == 0, last_writer);
+            let level = &mut self.levels[level_idx];
+            // The probe's pick, unless a spill has touched the level since.
+            let way = match level.victim.take() {
+                Some(way) => way,
+                None => level
+                    .lookup(line)
+                    .expect_err("a line that missed is still absent"),
+            };
+            let victim = level.install(way, line, dirty && level_idx == 0, last_writer);
             if level_idx == 0 {
                 l1_way = way;
             }
@@ -413,16 +461,15 @@ impl CacheHierarchy {
             });
             return;
         }
-        // If the line is already present below, just mark it dirty there.
-        if self.levels[level_idx]
-            .probe(victim.line, true, victim.last_writer)
-            .is_some()
-        {
-            return;
-        }
-        let (_, next_victim) = self.levels[level_idx].install(victim.line, true, victim.last_writer);
-        if let Some(next_victim) = next_victim.filter(|v| v.dirty) {
-            self.spill(level_idx + 1, next_victim, events);
+        let level = &mut self.levels[level_idx];
+        level.victim = None;
+        // If the line is already present below, just mark it dirty there;
+        // otherwise install it over the way the same scan picked.
+        if let Err(way) = level.probe(victim.line, true, victim.last_writer) {
+            let next_victim = level.install(way, victim.line, true, victim.last_writer);
+            if let Some(next_victim) = next_victim.filter(|v| v.dirty) {
+                self.spill(level_idx + 1, next_victim, events);
+            }
         }
     }
 
@@ -436,7 +483,7 @@ impl CacheHierarchy {
         // Drain from L1 downwards; lower levels may hold additional dirty
         // copies which are also drained. Duplicate write-backs of the same
         // line across levels are collapsed.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen: std::collections::HashSet<u64, FixedState> = Default::default();
         for level in &mut self.levels {
             for victim in level.drain_dirty() {
                 if seen.insert(victim.line) {
@@ -567,6 +614,17 @@ mod tests {
         assert_eq!(cache.shard_hits(2), 1);
         assert_eq!(cache.shard_misses(2), 1);
         assert_eq!(cache.shard_hits(7), 0, "unknown shards read as zero");
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 64 ways")]
+    fn levels_wider_than_a_tag_mask_are_rejected() {
+        CacheHierarchy::new(&CacheConfig {
+            levels: vec![CacheLevelConfig {
+                capacity_bytes: 65 * CACHE_LINE_SIZE,
+                ways: 65,
+            }],
+        });
     }
 
     #[test]
@@ -828,13 +886,14 @@ mod tests {
     }
 
     /// Feeds the flat model and the reference the same seeded stream of
-    /// reads and writes (repeats of the previous line, a hot working set, a
-    /// streaming region and random far lines, including line 0) and
-    /// requires identical memory events, per-level hit/miss tallies and
-    /// per-access hit/miss counts. Flushes every 10 000 accesses, each
-    /// followed by a repeat of the line accessed before it, check that the
-    /// model restarts cleanly.
-    fn assert_matches_reference(config: &CacheConfig, seed: u64) {
+    /// accesses, one in `write_one_in` a write (repeats of the previous
+    /// line, a working set of `hot_lines` lines, a streaming region and
+    /// random far lines, including line 0) and requires identical memory
+    /// events after every access, per-level hit/miss tallies and per-access
+    /// hit/miss counts. Flushes every 10 000 accesses, each followed by a
+    /// repeat of the line accessed before it, check that the model restarts
+    /// cleanly.
+    fn assert_matches_reference(config: &CacheConfig, seed: u64, write_one_in: u64, hot_lines: u64) {
         let mut flat = CacheHierarchy::new(config);
         let mut reference = reference::Hierarchy::new(config);
         let mut rng = crate::SplitMix64(seed);
@@ -849,7 +908,7 @@ mod tests {
             line = match rng.below(10) {
                 _ if flush => line,
                 0 | 1 => line,
-                2..=5 => rng.below(3_000),
+                2..=5 => rng.below(hot_lines),
                 6 | 7 => {
                     stream += 1;
                     100_000 + stream
@@ -857,7 +916,7 @@ mod tests {
                 8 => rng.below(1 << 40),
                 _ => rng.below(64) * 4_096,
             };
-            let write = rng.below(3) == 0;
+            let write = rng.below(write_one_in) == 0;
             let phase = Phase::ALL[rng.below(Phase::COUNT as u64) as usize];
             flat.access(line, write, phase, &mut got);
             reference.access(line, write, phase, &mut want);
@@ -879,9 +938,9 @@ mod tests {
         let config = CacheConfig::scaled(16);
         assert!(config.levels.iter().all(|l| l.sets().is_power_of_two()));
         for seed in 0..3 {
-            assert_matches_reference(&config, seed);
+            assert_matches_reference(&config, seed, 3, 3_000);
         }
-        assert_matches_reference(&tiny_config(), 7);
+        assert_matches_reference(&tiny_config(), 7, 3, 3_000);
     }
 
     #[test]
@@ -889,7 +948,44 @@ mod tests {
         let config = CacheConfig::scaled(3);
         assert!(config.levels.iter().any(|l| !l.sets().is_power_of_two()));
         for seed in 0..3 {
-            assert_matches_reference(&config, seed);
+            assert_matches_reference(&config, seed, 3, 3_000);
+        }
+    }
+
+    /// Levels of `sets × 2` ways each, closest first.
+    fn two_way(sets: &[usize]) -> CacheConfig {
+        CacheConfig {
+            levels: sets
+                .iter()
+                .map(|&sets| CacheLevelConfig {
+                    capacity_bytes: sets * 2 * CACHE_LINE_SIZE,
+                    ways: 2,
+                })
+                .collect(),
+        }
+    }
+
+    /// Spill-heavy streams, where most evictions are dirty and spill into
+    /// the set a pending fill picked its victim from: the fused probe and
+    /// victim choice must still match the reference event for event.
+    #[test]
+    fn fused_miss_path_matches_reference_when_spills_dominate() {
+        let configs = [
+            tiny_config(),
+            two_way(&[2, 4, 8]),
+            two_way(&[3, 5, 7]),
+            two_way(&[1, 3, 2]),
+            CacheConfig::scaled(3),
+        ];
+        assert!(configs[2].levels.iter().all(|l| !l.sets().is_power_of_two()));
+        for (seed, config) in configs.iter().enumerate() {
+            let seed = seed as u64;
+            // Every access a write.
+            assert_matches_reference(config, seed, 1, 3_000);
+            // Mostly writes over a working set a few times the capacity.
+            let lines: usize = config.levels.iter().map(|l| l.sets() * l.ways).sum();
+            assert_matches_reference(config, seed + 10, 1, 4 * lines as u64);
+            assert_matches_reference(config, seed + 20, 2, 2 * lines as u64);
         }
     }
 }

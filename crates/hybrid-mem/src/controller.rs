@@ -128,6 +128,7 @@ impl MemoryController {
     /// # Panics
     ///
     /// Panics if the shard was never registered.
+    #[inline]
     pub fn set_active_shard(&mut self, shard: ShardId) {
         assert!(shard.0 < self.shards.len(), "unregistered shard {shard:?}");
         self.active = shard.0;

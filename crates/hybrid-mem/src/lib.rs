@@ -55,6 +55,7 @@ pub mod controller;
 pub mod devices;
 pub mod energy;
 pub mod fault;
+pub mod fixed_hash;
 pub mod lifetime;
 pub mod page_map;
 mod side_table;
@@ -69,6 +70,7 @@ pub use controller::{MemoryController, ShardId};
 pub use devices::{DeviceParams, DramParams, PcmParams};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use fault::{years_to_first_uncorrectable, FaultConfig, FaultEvent, FaultModel};
+pub use fixed_hash::FixedState;
 pub use lifetime::{lifetime_years, Endurance, LifetimeModel};
 pub use page_map::PageMap;
 pub use stats::{MemoryStats, PhaseWrites, ShardStats};

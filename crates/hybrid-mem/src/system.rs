@@ -428,6 +428,7 @@ impl MemorySystem {
 
     /// Selects the counter shard subsequent accesses are attributed to.
     /// Collector and runtime phases run on [`ShardId::BASE`].
+    #[inline]
     pub fn set_active_shard(&mut self, shard: ShardId) {
         self.controller.set_active_shard(shard);
         self.cache.set_active_shard(shard.index());

@@ -17,7 +17,7 @@
 use std::collections::HashSet;
 
 use advice::SiteId;
-use hybrid_mem::{Address, MemoryKind, Phase};
+use hybrid_mem::{Address, FixedState, MemoryKind, Phase};
 use kingsguard_heap::object::{ObjectRef, ObjectShape};
 use kingsguard_heap::Handle;
 
@@ -234,7 +234,7 @@ impl KingsguardHeap {
         let mut queue: Vec<ObjectRef> = Vec::new();
         let mut scanned: Vec<ObjectRef> = Vec::new();
         let mut nursery_live: Vec<ObjectRef> = Vec::new();
-        let mut nursery_marked: HashSet<u64> = HashSet::new();
+        let mut nursery_marked: HashSet<u64, FixedState> = HashSet::default();
 
         self.telemetry.span_enter("gc.observer.roots");
         let entries: Vec<(Handle, ObjectRef)> = self.roots.iter().collect();
@@ -539,7 +539,7 @@ impl KingsguardHeap {
         phase: Phase,
         queue: &mut Vec<ObjectRef>,
         nursery_live: &mut Vec<ObjectRef>,
-        nursery_marked: &mut HashSet<u64>,
+        nursery_marked: &mut HashSet<u64, FixedState>,
     ) -> ObjectRef {
         if obj.is_null() {
             return obj;
@@ -642,7 +642,7 @@ impl KingsguardHeap {
         }
         self.telemetry.span_exit();
 
-        let mut marked: HashSet<u64> = HashSet::new();
+        let mut marked: HashSet<u64, FixedState> = HashSet::default();
         let mut queue: Vec<ObjectRef> = Vec::new();
 
         self.telemetry.span_enter("gc.major.roots");
@@ -712,7 +712,7 @@ impl KingsguardHeap {
         &mut self,
         obj: ObjectRef,
         phase: Phase,
-        marked: &mut HashSet<u64>,
+        marked: &mut HashSet<u64, FixedState>,
         queue: &mut Vec<ObjectRef>,
     ) -> ObjectRef {
         if obj.is_null() {

@@ -27,7 +27,7 @@
 use std::collections::{HashMap, HashSet};
 
 use advice::{AdviceTable, Placement, SiteId};
-use hybrid_mem::MemoryKind;
+use hybrid_mem::{FixedState, MemoryKind};
 
 use crate::policy::{
     AdaptationEvent, AdaptationTrigger, BarrierMode, LargePlacement, PlacementPolicy, SurvivorPlacement,
@@ -65,15 +65,15 @@ impl Default for KgDynamicParams {
 pub struct KgDynamicPolicy {
     params: KgDynamicParams,
     /// Sites currently advised into DRAM (everything else defaults to PCM).
-    dram_sites: HashSet<u32>,
+    dram_sites: HashSet<u32, FixedState>,
     /// Mutator writes seen on PCM-resident objects, per site.
-    pcm_writes: HashMap<u32, u64>,
+    pcm_writes: HashMap<u32, u64, FixedState>,
     /// Cumulative [`GcStats::site_rescues`] totals already consumed.
-    seen_rescues: HashMap<u32, u64>,
+    seen_rescues: HashMap<u32, u64, FixedState>,
     /// Cumulative [`GcStats::site_demotions`] totals already consumed.
-    seen_demotions: HashMap<u32, u64>,
+    seen_demotions: HashMap<u32, u64, FixedState>,
     /// Demotions per site since that site's last rescue.
-    demotions_since_rescue: HashMap<u32, u64>,
+    demotions_since_rescue: HashMap<u32, u64, FixedState>,
     promotions: u64,
     reversions: u64,
     /// Learn/un-learn decisions buffered for
@@ -242,7 +242,7 @@ impl PlacementPolicy for KgDynamicPolicy {
     fn on_gc_feedback(&mut self, stats: &GcStats) {
         // A rescue proves the site produced a written PCM object: advise it
         // into DRAM and forgive its demotion history.
-        let mut rescued_now: HashSet<u32> = HashSet::new();
+        let mut rescued_now: HashSet<u32, FixedState> = HashSet::default();
         for (&site, &total) in &stats.site_rescues {
             let seen = self.seen_rescues.entry(site).or_insert(0);
             if total > *seen {

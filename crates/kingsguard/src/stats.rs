@@ -9,6 +9,8 @@
 
 use std::collections::HashMap;
 
+use hybrid_mem::FixedState;
+
 use advice::SiteId;
 use hybrid_mem::timing::WorkCounts;
 use hybrid_mem::Address;
@@ -117,22 +119,22 @@ pub struct GcStats {
     /// Per-object write counts for non-nursery objects, keyed by the
     /// object's *current* address (entries are re-keyed when the collector
     /// moves an object). Drives the Figure 2 "top N %" analysis.
-    pub mature_object_writes: HashMap<u64, u64>,
+    pub mature_object_writes: HashMap<u64, u64, FixedState>,
 
     /// Allocation site of each tagged live object, keyed by the object's
     /// *current* address (re-keyed on every move, like
     /// [`GcStats::mature_object_writes`]). Feeds the site profiler and the
     /// KG-A placement decisions; objects allocated through the untagged
     /// [`crate::KingsguardHeap::alloc`] entry point have no entry.
-    pub object_sites: HashMap<u64, u32>,
+    pub object_sites: HashMap<u64, u32, FixedState>,
 
     /// Rescued objects per allocation site (cumulative; only populated for
     /// site-tracking policies). Adaptive policies consume this in
     /// `PlacementPolicy::on_gc_feedback`.
-    pub site_rescues: HashMap<u32, u64>,
+    pub site_rescues: HashMap<u32, u64, FixedState>,
     /// Demoted objects per allocation site (cumulative; only populated for
     /// site-tracking policies).
-    pub site_demotions: HashMap<u32, u64>,
+    pub site_demotions: HashMap<u32, u64, FixedState>,
 
     /// Heap composition samples, one per collection (Figure 13).
     pub composition: Vec<CompositionSample>,

@@ -299,6 +299,7 @@ pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------
 
+#[derive(Clone, Debug)]
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -326,30 +327,42 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
+    #[inline(always)]
     fn varint(&mut self) -> Result<u64, TraceError> {
         let start = self.pos;
         let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                // Varints only occur in event operands; the caller rewrites
-                // this into a BadEvent carrying the event index.
-                return Err(TraceError::BadEvent {
-                    index: 0,
-                    offset: start,
-                    reason: "varint overflows u64".to_string(),
-                });
+        // A u64 takes at most ten 7-bit groups; the tenth may only carry
+        // the top bit.
+        for (i, &byte) in self.bytes[start..].iter().take(10).enumerate() {
+            let shift = 7 * i as u32;
+            if shift == 63 && byte > 1 {
+                return Err(varint_overflow(start));
             }
-            value |= ((byte & 0x7f) as u64) << shift;
+            value |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
+                self.pos = start + i + 1;
                 return Ok(value);
             }
-            shift += 7;
         }
+        Err(TraceError::Truncated {
+            offset: self.bytes.len(),
+        })
     }
 }
 
+/// The error of a varint starting at byte `offset` that overflows u64.
+/// Varints only occur in event operands; the caller rewrites this into a
+/// `BadEvent` carrying the event index.
+#[cold]
+fn varint_overflow(offset: usize) -> TraceError {
+    TraceError::BadEvent {
+        index: 0,
+        offset,
+        reason: "varint overflows u64".to_string(),
+    }
+}
+
+#[inline(always)]
 fn narrow<T: TryFrom<u64>>(value: u64, what: &str, index: u64, offset: usize) -> Result<T, TraceError> {
     T::try_from(value).map_err(|_| TraceError::BadEvent {
         index,
@@ -358,6 +371,7 @@ fn narrow<T: TryFrom<u64>>(value: u64, what: &str, index: u64, offset: usize) ->
     })
 }
 
+#[inline]
 fn decode_event(reader: &mut Reader<'_>, index: u64) -> Result<TraceEvent, TraceError> {
     decode_event_inner(reader, index).map_err(|err| match err {
         // Stamp operand-level varint failures with the event they occurred
@@ -455,8 +469,9 @@ fn decode_event_inner(reader: &mut Reader<'_>, index: u64) -> Result<TraceEvent,
     Ok(event)
 }
 
-/// Parses a trace from its binary representation.
-pub fn parse_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
+/// Verifies the magic and checksum of `bytes` and reads the header and the
+/// declared event count, leaving the reader at the first event.
+fn read_header(bytes: &[u8]) -> Result<(TraceHeader, u64, Reader<'_>), TraceError> {
     if bytes.len() < FORMAT_MAGIC.len() {
         return Err(TraceError::Truncated { offset: bytes.len() });
     }
@@ -502,19 +517,82 @@ pub fn parse_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
         fault_seed: if version >= 2 { reader.u64()? } else { 0 },
     };
     let declared = reader.u64()?;
-    let mut events = Vec::with_capacity(declared.min(1 << 24) as usize);
-    let mut index = 0u64;
-    while reader.pos < content.len() {
-        events.push(decode_event(&mut reader, index)?);
-        index += 1;
-    }
-    if index != declared {
-        return Err(TraceError::CountMismatch {
+    Ok((header, declared, reader))
+}
+
+/// A checked `.kgtrace` byte stream that decodes its events one at a time.
+///
+/// [`TraceStream::new`] verifies the magic, the trailing checksum, the
+/// version and the header before a single event is decoded, so a truncated
+/// or bit-flipped file is rejected up front. Iterating then yields each
+/// event in program order; a malformed event ends the stream with its
+/// error, and so does a declared event count that does not match the
+/// stream (reported after the last event, as [`TraceError::CountMismatch`]).
+/// A clone continues from the same position.
+#[derive(Clone, Debug)]
+pub(crate) struct TraceStream<'a> {
+    header: TraceHeader,
+    declared: u64,
+    reader: Reader<'a>,
+    index: u64,
+    done: bool,
+}
+
+impl<'a> TraceStream<'a> {
+    /// Checks `bytes` (magic, checksum, version, header) and positions the
+    /// stream at the first event.
+    pub(crate) fn new(bytes: &'a [u8]) -> Result<Self, TraceError> {
+        let (header, declared, reader) = read_header(bytes)?;
+        Ok(TraceStream {
+            header,
             declared,
-            found: index,
-        });
+            reader,
+            index: 0,
+            done: false,
+        })
     }
-    Ok(Trace { header, events })
+
+    /// The verified file header.
+    pub(crate) fn header(&self) -> &TraceHeader {
+        &self.header
+    }
+}
+
+impl Iterator for TraceStream<'_> {
+    type Item = Result<TraceEvent, TraceError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        if self.reader.pos < self.reader.bytes.len() {
+            let event = decode_event(&mut self.reader, self.index);
+            self.index += 1;
+            self.done = event.is_err();
+            return Some(event);
+        }
+        self.done = true;
+        (self.index != self.declared).then_some(Err(TraceError::CountMismatch {
+            declared: self.declared,
+            found: self.index,
+        }))
+    }
+}
+
+/// Parses a trace from its binary representation: the events
+/// [`TraceReplayer::from_bytes`](crate::TraceReplayer::from_bytes) would
+/// stream, collected into a [`Trace`].
+pub fn parse_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
+    let mut stream = TraceStream::new(bytes)?;
+    let mut events = Vec::with_capacity(stream.declared.min(1 << 24) as usize);
+    for event in &mut stream {
+        events.push(event?);
+    }
+    Ok(Trace {
+        header: stream.header,
+        events,
+    })
 }
 
 /// Writes a trace to `path`, creating parent directories as needed. The
@@ -772,6 +850,36 @@ mod tests {
             parse_trace(&bytes),
             Err(TraceError::CountMismatch { declared: d, found: f }) if d == f + 1
         ));
+    }
+
+    #[test]
+    fn a_stream_stops_at_its_first_bad_event() {
+        // Splice an unknown opcode in after the third event and re-stamp
+        // the checksum: the header still checks, three events decode, then
+        // the error, then nothing.
+        let trace = sample_trace();
+        let head = Trace {
+            header: trace.header.clone(),
+            events: trace.events[..3].to_vec(),
+        };
+        let at = trace_to_bytes(&head).len() - 8;
+        let mut bytes = trace_to_bytes(&trace);
+        bytes.truncate(bytes.len() - 8);
+        bytes.insert(at, 0xEE);
+        let checksum = fnv1a(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        let mut stream = TraceStream::new(&bytes).unwrap();
+        assert_eq!(stream.header(), &trace.header);
+        for event in &trace.events[..3] {
+            assert_eq!(stream.next().unwrap().unwrap(), *event);
+        }
+        match stream.next() {
+            Some(Err(TraceError::BadEvent { index: 3, reason, .. })) => {
+                assert!(reason.contains("opcode 238"))
+            }
+            other => panic!("expected BadEvent 3, got {other:?}"),
+        }
+        assert!(stream.next().is_none());
     }
 
     #[test]

@@ -27,6 +27,17 @@
 //!   replaying against other policies turns "N benchmarks × M collectors"
 //!   into "record N, replay N×M".
 //!
+//! # Stream or hold a `Trace`
+//!
+//! A replay that reads a file once should stream it: read the bytes and
+//! hand them to [`TraceReplayer::from_bytes`], which checks the magic,
+//! checksum and header up front and then decodes each event as it applies
+//! it, so the decoded event list (40 bytes per event) never exists. Hold a
+//! decoded [`Trace`] ([`load_trace`] / [`parse_trace`]) when the events are
+//! used more than once or inspected: replaying one recording under several
+//! collectors, static analysis or editing events. Both paths run the same
+//! decoder and the same replay loop.
+//!
 //! # Record once, replay many
 //!
 //! ```

@@ -10,13 +10,18 @@
 //! write counts, same line statistics, same collector counters. Replaying
 //! against a *different* policy answers "what would this collector have
 //! done on the same program?" without re-running workload logic.
+//!
+//! The replayer reads its events from a decoded [`Trace`]
+//! ([`TraceReplayer::new`]) or straight from checked `.kgtrace` bytes
+//! ([`TraceReplayer::from_bytes`]); both run the same loop.
 
 use std::fmt;
 
 use kingsguard::{CollectKind, KingsguardHeap, MutatorContext};
 use kingsguard_heap::{Handle, ObjectShape};
 
-use crate::event::{Trace, TraceEvent};
+use crate::event::{Trace, TraceEvent, TraceHeader};
+use crate::format::{TraceError, TraceStream};
 
 /// Progress snapshot handed to the replay hook at every recorded hook
 /// marker (the trace-side twin of `workloads::MutatorProgress`).
@@ -39,6 +44,10 @@ pub struct ReplayStats {
     pub allocations: u64,
     /// Hook markers encountered.
     pub hooks: u64,
+    /// Recorded `Collect` events applied.
+    pub collects: u64,
+    /// Recorded `Safepoint` events applied.
+    pub safepoints: u64,
 }
 
 /// Everything that can go wrong replaying a trace.
@@ -80,6 +89,15 @@ pub enum ReplayError {
         /// The context index the heap assigned.
         assigned: u32,
     },
+    /// The event stream could not be decoded (replaying from bytes: an
+    /// unknown opcode, a bad operand or a wrong declared event count).
+    Decode(TraceError),
+}
+
+impl From<TraceError> for ReplayError {
+    fn from(err: TraceError) -> Self {
+        ReplayError::Decode(err)
+    }
 }
 
 impl fmt::Display for ReplayError {
@@ -109,21 +127,49 @@ impl fmt::Display for ReplayError {
                 f,
                 "heap assigned context index {assigned} where the trace recorded {recorded}"
             ),
+            ReplayError::Decode(err) => err.fmt(f),
         }
     }
 }
 
 impl std::error::Error for ReplayError {}
 
-/// Replays a [`Trace`] against a heap. See the module docs.
+/// Replays a recorded event stream against a heap. See the module docs.
 pub struct TraceReplayer<'t> {
-    trace: &'t Trace,
+    events: Events<'t>,
+}
+
+/// Where a [`TraceReplayer`] reads its events from.
+enum Events<'t> {
+    Decoded(&'t Trace),
+    Encoded(TraceStream<'t>),
 }
 
 impl<'t> TraceReplayer<'t> {
-    /// Creates a replayer over `trace`.
+    /// Creates a replayer over a decoded `trace`.
     pub fn new(trace: &'t Trace) -> Self {
-        TraceReplayer { trace }
+        TraceReplayer {
+            events: Events::Decoded(trace),
+        }
+    }
+
+    /// Creates a replayer that decodes `.kgtrace` `bytes` as it replays,
+    /// without materialising the event list. The magic, checksum and header
+    /// are verified here, before any event is applied; a malformed event or
+    /// a wrong declared count surfaces from the replay as
+    /// [`ReplayError::Decode`].
+    pub fn from_bytes(bytes: &'t [u8]) -> Result<Self, TraceError> {
+        Ok(TraceReplayer {
+            events: Events::Encoded(TraceStream::new(bytes)?),
+        })
+    }
+
+    /// The recorded trace's header.
+    pub fn header(&self) -> &TraceHeader {
+        match &self.events {
+            Events::Decoded(trace) => &trace.header,
+            Events::Encoded(stream) => stream.header(),
+        }
     }
 
     /// Replays the full event stream against `heap`, ignoring hook markers.
@@ -140,12 +186,26 @@ impl<'t> TraceReplayer<'t> {
     pub fn replay_with(
         &self,
         heap: &mut KingsguardHeap,
+        hook: impl FnMut(&mut KingsguardHeap, ReplayProgress),
+    ) -> Result<ReplayStats, ReplayError> {
+        match &self.events {
+            Events::Decoded(trace) => {
+                Self::replay_events(&trace.header, trace.events.iter().map(|e| Ok(*e)), heap, hook)
+            }
+            Events::Encoded(stream) => Self::replay_events(stream.header(), stream.clone(), heap, hook),
+        }
+    }
+
+    /// The replay loop, over any source of events.
+    fn replay_events(
+        header: &TraceHeader,
+        events: impl Iterator<Item = Result<TraceEvent, TraceError>>,
+        heap: &mut KingsguardHeap,
         mut hook: impl FnMut(&mut KingsguardHeap, ReplayProgress),
     ) -> Result<ReplayStats, ReplayError> {
         if heap.stats().objects_allocated != 0 || heap.mutator_count() != 1 {
             return Err(ReplayError::HeapNotFresh);
         }
-        let header = &self.trace.header;
         if heap.config().nursery_bytes as u64 != header.nursery_bytes {
             return Err(ReplayError::ConfigMismatch {
                 what: "nursery",
@@ -176,9 +236,9 @@ impl<'t> TraceReplayer<'t> {
                 .ok_or(ReplayError::UnknownObject { event, obj })
         };
 
-        for (index, event) in self.trace.events.iter().enumerate() {
+        for (index, event) in events.enumerate() {
             let at = index as u64;
-            match *event {
+            match event? {
                 TraceEvent::Spawn { ctx, config } => {
                     let spawned = heap.spawn_mutator_with(config);
                     let assigned = spawned.index() as u32;
@@ -275,13 +335,19 @@ impl<'t> TraceReplayer<'t> {
                     heap.release(handle);
                     objects[obj as usize] = None;
                 }
-                TraceEvent::Safepoint => heap.safepoint(),
-                TraceEvent::Collect { kind } => match kind {
-                    CollectKind::Young => heap.collect_young(),
-                    CollectKind::Nursery => heap.collect_nursery(),
-                    CollectKind::Observer => heap.collect_observer(),
-                    CollectKind::Full => heap.collect_full(),
-                },
+                TraceEvent::Safepoint => {
+                    stats.safepoints += 1;
+                    heap.safepoint();
+                }
+                TraceEvent::Collect { kind } => {
+                    stats.collects += 1;
+                    match kind {
+                        CollectKind::Young => heap.collect_young(),
+                        CollectKind::Nursery => heap.collect_nursery(),
+                        CollectKind::Observer => heap.collect_observer(),
+                        CollectKind::Full => heap.collect_full(),
+                    }
+                }
                 TraceEvent::Hook {
                     allocated_bytes,
                     total_bytes,
@@ -367,6 +433,7 @@ mod tests {
         let big = heap.alloc(ObjectShape::primitive(16 * 1024), 200);
         heap.write_prim(big, 100, 32);
         heap.collect_young();
+        heap.safepoint();
         for handle in keep.drain(..) {
             heap.release(handle);
         }
@@ -399,6 +466,32 @@ mod tests {
             let replayed = heap.finish();
             assert_eq!(fingerprint(&replayed), fingerprint(&live));
         }
+    }
+
+    #[test]
+    fn streaming_from_bytes_matches_the_decoded_replay() {
+        let (trace, _) = record_sample(HeapConfig::kg_w());
+        let bytes = crate::format::trace_to_bytes(&trace);
+        let mut held = fresh(HeapConfig::kg_w());
+        let held_stats = TraceReplayer::new(&trace).replay(&mut held).unwrap();
+        let mut streamed = fresh(HeapConfig::kg_w());
+        let replayer = TraceReplayer::from_bytes(&bytes).unwrap();
+        assert_eq!(replayer.header(), &trace.header);
+        let streamed_stats = replayer.replay(&mut streamed).unwrap();
+        assert_eq!(streamed_stats, held_stats);
+        assert_eq!(fingerprint(&streamed.finish()), fingerprint(&held.finish()));
+        // Collections and safepoints are counted as they are applied.
+        let count =
+            |wanted: fn(&TraceEvent) -> bool| trace.events.iter().filter(|e| wanted(e)).count() as u64;
+        assert_eq!(
+            held_stats.collects,
+            count(|e| matches!(e, TraceEvent::Collect { .. }))
+        );
+        assert_eq!(
+            held_stats.safepoints,
+            count(|e| matches!(e, TraceEvent::Safepoint))
+        );
+        assert!(held_stats.collects > 0 && held_stats.safepoints > 0);
     }
 
     #[test]
